@@ -102,10 +102,9 @@ class CoreMask {
 
   friend bool operator==(const CoreMask&, const CoreMask&) = default;
 
-  CoreMask operator|(const CoreMask& o) const {
-    CoreMask r;
-    for (std::size_t i = 0; i < words_.size(); ++i) r.words_[i] = words_[i] | o.words_[i];
-    return r;
+  /// *this |= o over the first `words` words only (see count(words)).
+  void unite(const CoreMask& o, std::size_t words) {
+    for (std::size_t i = 0; i < words; ++i) words_[i] |= o.words_[i];
   }
 
   CoreMask operator&(const CoreMask& o) const {

@@ -308,7 +308,8 @@ Cycles AddressSpace::shootdown_unit(CoreId initiator, Cycles now,
   // faulting core of another space.
   if (mm_.num_spaces() > 1)
     mm_.record_interference(machine_.space_of_core(initiator), asid_,
-                            targets.count() - (self ? 1u : 0u));
+                            targets.count(machine_.mask_words()) -
+                                (self ? 1u : 0u));
   if (!self) return machine_.shootdown(initiator, now, targets, units);
   // The initiator invalidates its own TLB directly (INVLPG, no IPI); only
   // this path pays for a mask copy to drop the initiator bit.
@@ -336,7 +337,7 @@ Cycles AddressSpace::evict_one(CoreId faulting_core, Cycles now) {
   std::uint64_t trace_targets = 0;
   if (page_table_->any_mapping(unit)) {
     const CoreMask affected = page_table_->unmap_all(unit);
-    trace_targets = affected.count();
+    if (tr != nullptr) trace_targets = affected.count(machine_.mask_words());
     cycles += shootdown_unit(faulting_core, now + cycles, affected, unit);
   }
   // (Prefetched-but-never-touched units have no mappings to tear down.)
@@ -434,7 +435,7 @@ void AddressSpace::run_periodic(Cycles watermark) {
           for (const sim::Machine::BatchItem& item : flush) {
             CoreMask t = item.targets;
             t.clear(scanner);
-            remote += t.count();
+            remote += t.count(machine_.mask_words());
           }
           mm_.record_interference(asid_, asid_, remote);
         }

@@ -5,87 +5,12 @@
 
 #include "common/assert.h"
 #include "common/worker_pool.h"
+#include "core/event_queue.h"
 #include "sim/trace.h"
 
 namespace cmcp::core {
 
 namespace {
-
-// Heap keys pack (virtual time, core id) into one u64 so a single integer
-// compare is the engine's event order: 11 low bits cover CoreMask::kMaxCores
-// simulated cores; virtual times stay far below 2^53.
-constexpr unsigned kCoreBits = 11;
-constexpr std::uint64_t kCoreIdMask = (std::uint64_t{1} << kCoreBits) - 1;
-constexpr std::uint64_t kMaxKey = ~std::uint64_t{0};
-
-std::uint64_t pack(Cycles time, CoreId core) {
-  return (time << kCoreBits) | core;
-}
-
-/// 4-ary min-heap over packed keys, one entry per runnable core. Unlike
-/// the old lazy-push priority_queue there are no duplicate entries: a stale
-/// root is corrected in place (replace_root), which only sifts down because
-/// clocks are monotone. Four-way branching halves the sift depth of a
-/// binary heap (3 levels instead of 6 at 56 cores) and the four children
-/// of a node share one cache line; replace_root runs once per engine event,
-/// so this is the engine loop's hottest data structure.
-class EventHeap {
- public:
-  void reserve(std::size_t n) { keys_.reserve(n); }
-  bool empty() const { return keys_.empty(); }
-  std::uint64_t root() const { return keys_[0]; }
-
-  /// Smallest key other than the root (kMaxKey when the root is alone):
-  /// the run-batching horizon. In any d-ary min-heap the second-smallest
-  /// key is one of the root's children.
-  std::uint64_t second_min() const {
-    const std::size_t n = std::min<std::size_t>(keys_.size(), 5);
-    std::uint64_t m = kMaxKey;
-    for (std::size_t c = 1; c < n; ++c) m = std::min(m, keys_[c]);
-    return m;
-  }
-
-  void push(std::uint64_t key) {
-    keys_.push_back(key);
-    std::size_t i = keys_.size() - 1;
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 4;
-      if (keys_[parent] <= keys_[i]) break;
-      std::swap(keys_[parent], keys_[i]);
-      i = parent;
-    }
-  }
-
-  void replace_root(std::uint64_t key) {
-    keys_[0] = key;
-    sift_down();
-  }
-
-  void pop_root() {
-    keys_[0] = keys_.back();
-    keys_.pop_back();
-    if (!keys_.empty()) sift_down();
-  }
-
- private:
-  void sift_down() {
-    const std::size_t n = keys_.size();
-    std::size_t i = 0;
-    for (;;) {
-      const std::size_t first = 4 * i + 1;
-      if (first >= n) return;
-      std::size_t best = first;
-      const std::size_t last = std::min(first + 4, n);
-      for (std::size_t c = first + 1; c < last; ++c)
-        if (keys_[c] < keys_[best]) best = c;
-      if (keys_[i] <= keys_[best]) return;
-      std::swap(keys_[i], keys_[best]);
-      i = best;
-    }
-  }
-
-  std::vector<std::uint64_t> keys_;
-};
 
 enum class CoreState : std::uint8_t { kRunning, kAtBarrier, kDone };
 
@@ -129,10 +54,9 @@ class Engine {
   Engine(sim::Machine& machine, MemoryManager& mm,
          std::span<EngineCoreInit> inits, std::span<const EngineGroup> groups,
          unsigned threads)
-      : machine_(machine), mm_(mm) {
+      : machine_(machine), mm_(mm), queue_(machine.num_cores()) {
     const CoreId n = machine_.num_cores();
     CMCP_CHECK(inits.size() == n);
-    CMCP_CHECK(n < (CoreId{1} << kCoreBits));
     // PerCore holds a Task (atomic state), so the array is built in place.
     cores_ = std::make_unique<PerCore[]>(n);
     groups_.reserve(groups.size());
@@ -278,16 +202,16 @@ class Engine {
                   cores_[c].tenant});
       machine_.set_clock(c, tmax);
       cores_[c].state = CoreState::kRunning;
-      heap_.push(pack(tmax, c));
+      queue_.set(c, EventQueue::pack(tmax, c));
     }
     g.at_barrier = 0;
   }
 
-  /// Execute ONE engine event for `core` (assumed at the heap root): one
+  /// Execute ONE engine event for `core` (assumed at the queue root): one
   /// page of an in-progress access op, or the next stream op. Shared
   /// resources (PCIe link, page-table locks, invalidation slot) are thereby
   /// updated in near-global time order, so queueing is resolved at page
-  /// granularity. Returns false when the core left the heap (barrier/end).
+  /// granularity. Returns false when the core left the queue (barrier/end).
   bool execute_event(CoreId core) {
     PerCore& pc = cores_[core];
     if (pc.has_pending) {
@@ -351,14 +275,14 @@ class Engine {
       case wl::OpKind::kBarrier: {
         pc.state = CoreState::kAtBarrier;
         ++groups_[pc.group].at_barrier;
-        heap_.pop_root();
+        queue_.set(core, EventQueue::kMaxKey);
         release_barrier_if_complete(pc.group);
         return false;
       }
       case wl::OpKind::kEnd: {
         pc.state = CoreState::kDone;
         --groups_[pc.group].active;
-        heap_.pop_root();
+        queue_.set(core, EventQueue::kMaxKey);
         // A barrier pending among the group's remaining cores may now be
         // complete.
         release_barrier_if_complete(pc.group);
@@ -372,7 +296,7 @@ class Engine {
   MemoryManager& mm_;
   std::unique_ptr<PerCore[]> cores_;
   std::vector<GroupState> groups_;
-  EventHeap heap_;
+  EventQueue queue_;
   Cycles next_due_ = 0;
   unsigned threads_ = 1;
   bool par_ = false;
@@ -381,22 +305,21 @@ class Engine {
 
 void Engine::run() {
   const CoreId n = machine_.num_cores();
-  heap_.reserve(n);
-  for (CoreId c = 0; c < n; ++c) heap_.push(pack(0, c));
+  for (CoreId c = 0; c < n; ++c) queue_.set(c, EventQueue::pack(0, c));
   next_due_ = mm_.next_periodic_due();
   machine_.set_engine_running(true);
 
-  while (!heap_.empty()) {
-    const std::uint64_t rootkey = heap_.root();
-    const CoreId core = static_cast<CoreId>(rootkey & kCoreIdMask);
+  while (!queue_.empty()) {
+    const std::uint64_t rootkey = queue_.root();
+    const CoreId core = EventQueue::core_of(rootkey);
     PerCore& pc = cores_[core];
     if (pc.span_inflight) complete_span(core);
-    const Cycles time = rootkey >> kCoreBits;
+    const Cycles time = EventQueue::time_of(rootkey);
     const Cycles actual = machine_.clock(core);
     if (actual != time) {
       // Clock advanced (shootdown interrupts, or a completed local span)
       // since this key was set.
-      heap_.replace_root(pack(actual, core));
+      queue_.set(core, EventQueue::pack(actual, core));
       continue;
     }
 
@@ -416,17 +339,17 @@ void Engine::run() {
     // event always runs — the root is the true minimum, matching the old
     // engine's behavior even when run_periodic just advanced this clock.
     const std::uint64_t limit =
-        std::min(heap_.second_min(), next_due_ << kCoreBits);
+        std::min(queue_.horizon(), next_due_ << EventQueue::kCoreBits);
     bool requeue = true;
     do {
       if (!execute_event(core)) {
         requeue = false;
         break;
       }
-    } while (pack(machine_.clock(core), core) < limit);
+    } while (EventQueue::pack(machine_.clock(core), core) < limit);
 
     if (requeue) {
-      heap_.replace_root(pack(machine_.clock(core), core));
+      queue_.set(core, EventQueue::pack(machine_.clock(core), core));
       // The core now waits for its next turn; in parallel mode a worker
       // uses that wait to run its core-local events ahead of time.
       if (par_) dispatch_span(core);

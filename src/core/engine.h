@@ -9,13 +9,14 @@
 //
 // Two optimizations keep those semantics bit-exact (docs/performance.md):
 //
-//  * Indexed heap, run batching. One packed (time << 11 | core) key per
-//    runnable core in a binary min-heap. After popping the earliest core the
+//  * Winner-tree event queue, run batching. One packed (time << 11 | core)
+//    key per core in a tournament tree (core/event_queue.h); cores at a
+//    barrier or done hold kMaxKey. After taking the earliest core the
 //    engine keeps executing ITS events while its packed clock stays below
-//    the horizon — the second-smallest heap key, capped by the next periodic
-//    tick. Heap keys only go stale LOW (shootdown interrupts advance
-//    receivers' clocks), so the horizon is a conservative bound and the
-//    batched order equals the one-event-at-a-time order exactly.
+//    the horizon — the second-smallest key, capped by the next periodic
+//    tick. Keys only go stale LOW (shootdown interrupts advance receivers'
+//    clocks), so the horizon is a conservative bound and the batched order
+//    equals the one-event-at-a-time order exactly.
 //
 //  * Parallel local spans (threads > 1, eligible runs). Core-LOCAL events —
 //    TLB hits, PTE refills, compute — touch only core-own state (the core's

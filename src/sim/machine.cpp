@@ -152,7 +152,7 @@ Cycles Machine::hw_invalidate(CoreId initiator, Cycles now,
   init_ctr.cycles_shootdown += cycles;
   if (trace_ != nullptr)
     trace_->emit({trace::EventKind::kShootdown, initiator, now, cycles,
-                  units[0], targets.count(), units.size(), 0,
+                  units[0], targets.count(mask_words_), units.size(), 0,
                   space_of_targets(targets)});
   return cycles;
 }
@@ -162,7 +162,8 @@ Cycles Machine::shootdown_batch(CoreId initiator, Cycles now,
   if (items.empty()) return 0;
   common::LockGuard slot(shootdown_mu_);
   CoreMask union_targets;
-  for (const BatchItem& item : items) union_targets = union_targets | item.targets;
+  for (const BatchItem& item : items)
+    union_targets.unite(item.targets, mask_words_);
   union_targets.clear(initiator);
   const unsigned num_targets = union_targets.count(mask_words_);
   if (num_targets == 0) return 0;

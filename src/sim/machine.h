@@ -7,6 +7,7 @@
 // application compute time — only its shootdowns disturb the app cores.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -67,6 +68,11 @@ class Machine {
   CoreId total_cores() const {
     return config_.num_cores + config_.num_address_spaces;
   }
+
+  /// ceil(total_cores()/64): the live word count for CoreMask counts, scans
+  /// and unions on the fault, evict, shootdown and scanner paths. No mask
+  /// has bits past total_cores(), so the fixed-capacity tail is skipped.
+  std::size_t mask_words() const { return mask_words_; }
 
   /// Which address space a core (app or scanner pseudo-core) belongs to.
   /// All-zero until set_core_space() assigns tenant core sets.
@@ -152,15 +158,11 @@ class Machine {
   /// Space owning the cores in `targets` (the shot-down unit's space: only
   /// its own cores can map it). Falls back to 0 for an empty mask.
   Asid space_of_targets(const CoreMask& targets) const {
-    Asid out = 0;
-    bool found = false;
-    targets.for_each([&](CoreId t) {
-      if (!found) {
-        out = core_space_[t];
-        found = true;
-      }
-    });
-    return out;
+    for (std::size_t wi = 0; wi < mask_words_; ++wi) {
+      const std::uint64_t w = targets.word(wi);
+      if (w != 0) return core_space_[wi * 64 + std::countr_zero(w)];
+    }
+    return 0;
   }
 
   /// Directed invalidation via the hypothetical TLB directory hardware.
@@ -186,9 +188,7 @@ class Machine {
   // protocol serializes on `shootdown_mu_` below, the lock modelling the
   // kernel's invalidation-request slot (paper section 5.5).
   std::vector<Cycles> clocks_;
-  /// ceil(total_cores()/64): live word count for CoreMask scans on the
-  /// shootdown path — target masks can never have bits past the machine's
-  /// core range, so the fixed-capacity tail is skipped.
+  /// See mask_words().
   std::size_t mask_words_ = CoreMask::kWords;
   std::vector<Tlb> tlbs_;
   std::vector<metrics::CoreCounters> counters_;

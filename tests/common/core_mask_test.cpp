@@ -75,12 +75,24 @@ TEST(CoreMask, UnionAndIntersection) {
   a.set(2);
   b.set(2);
   b.set(3);
-  const CoreMask u = a | b;
+  CoreMask u = a;
+  u.unite(b, CoreMask::kWords);
   EXPECT_EQ(u.count(), 3u);
   EXPECT_TRUE(u.test(1) && u.test(2) && u.test(3));
   const CoreMask i = a & b;
   EXPECT_EQ(i.count(), 1u);
   EXPECT_TRUE(i.test(2));
+  // unite() at a live word count: the same union within those words, and
+  // nothing past them.
+  CoreMask w = a;
+  w.unite(b, 1);
+  EXPECT_EQ(w, u);
+  b.set(100);
+  w.unite(b, 1);
+  EXPECT_FALSE(w.test(100));
+  w.unite(b, 2);
+  EXPECT_TRUE(w.test(100));
+  EXPECT_EQ(w.count(2), 4u);
 }
 
 TEST(CoreMask, ResetClearsEverything) {

@@ -67,8 +67,9 @@ Artifacts run_cell(PolicyKind policy, double fraction, unsigned threads,
   config.threads = threads;
   config.simcheck = simcheck;
   config.trace = &sink;
-  if (faults != nullptr)
+  if (faults != nullptr) {
     EXPECT_TRUE(sim::FaultPlanConfig::parse(faults, &config.faults));
+  }
   const auto result = core::run_simulation(config, *w);
 
   Artifacts a;
