@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <type_traits>
+
 namespace cmcp::sim {
 namespace {
 
@@ -112,10 +116,15 @@ TEST(TlbProperty, StressAgainstReferenceModel) {
   }
 }
 
+// gtest names each case after the bytes of its parameter, so the padding
+// between the two fields is spelled out as zeros; left implicit, it carried
+// whatever the stack held and the case names changed from run to run.
 struct TlbConfigCase {
   PageSizeClass size;
+  std::array<std::uint8_t, 3> padding{};
   std::uint32_t expected;
 };
+static_assert(std::has_unique_object_representations_v<TlbConfigCase>);
 
 class TlbConfigTest : public ::testing::TestWithParam<TlbConfigCase> {};
 
@@ -126,9 +135,9 @@ TEST_P(TlbConfigTest, EntriesPerSizeClass) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllSizes, TlbConfigTest,
-    ::testing::Values(TlbConfigCase{PageSizeClass::k4K, 64},
-                      TlbConfigCase{PageSizeClass::k64K, 32},
-                      TlbConfigCase{PageSizeClass::k2M, 8}));
+    ::testing::Values(TlbConfigCase{.size = PageSizeClass::k4K, .expected = 64},
+                      TlbConfigCase{.size = PageSizeClass::k64K, .expected = 32},
+                      TlbConfigCase{.size = PageSizeClass::k2M, .expected = 8}));
 
 }  // namespace
 }  // namespace cmcp::sim
