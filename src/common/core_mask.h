@@ -59,8 +59,7 @@ class CoreMask {
   /// array — one word scanned instead of seventeen at the paper's 56 cores.
   unsigned count(std::size_t words) const {
     unsigned c = 0;
-    for (std::size_t wi = 0; wi < words; ++wi)
-      c += static_cast<unsigned>(std::popcount(words_[wi]));
+    for (std::size_t wi = 0; wi < words; ++wi) c += popcount64(words_[wi]);
     return c;
   }
 
@@ -114,6 +113,15 @@ class CoreMask {
   }
 
  private:
+  /// Branch-free SWAR population count. Builds for baseline x86-64 have no
+  /// POPCNT instruction, and there std::popcount is a libgcc call per word.
+  static constexpr unsigned popcount64(std::uint64_t x) {
+    x -= (x >> 1) & 0x5555555555555555ULL;
+    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+    return static_cast<unsigned>((x * 0x0101010101010101ULL) >> 56);
+  }
+
   std::array<std::uint64_t, kMaxCores / 64> words_{};
 };
 

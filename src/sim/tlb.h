@@ -9,8 +9,10 @@
 // The unit -> slot index is a dense direct-indexed array (the unit index is
 // the slot-array subscript; docs/performance.md): a lookup — the single
 // hottest operation in the whole simulator, one per simulated reference per
-// core — is one bounds check and one load, no hashing. The LRU order lives
-// in an intrusive prev/next chain over the fixed slot pool, as before.
+// core — is one bounds check and one load, no hashing. Capacities are tens
+// of entries, so a slot index is one byte (0xff = not cached): the array
+// spans every unit on every core and is the largest per-core structure. The
+// LRU order lives in an intrusive prev/next chain over the fixed slot pool.
 #pragma once
 
 #include <cstdint>
@@ -37,12 +39,14 @@ struct TlbConfig {
 
 class Tlb {
  public:
+  /// `capacity` must be below 255: slot indices are one byte, 0xff marks
+  /// an uncached unit.
   Tlb(std::uint32_t capacity);
 
   /// True if `unit` is cached; refreshes its LRU position on hit.
   bool lookup(UnitIdx unit) {
-    const std::uint32_t s = slot_of(unit);
-    if (s == kNil) return false;
+    const std::uint8_t s = slot_of(unit);
+    if (s == kNotCached) return false;
     if (s != mru_) {
       unlink(s);
       push_mru(s);
@@ -64,7 +68,7 @@ class Tlb {
   /// Size the unit index for units [0, n) so steady-state insert() never
   /// grows it (the memory manager calls this with the area's num_units()).
   void reserve_units(UnitIdx n) {
-    if (n > slot_of_.size()) slot_of_.resize(n, kNil);
+    if (n > slot_of_.size()) slot_of_.resize(n, kNotCached);
   }
 
   std::uint32_t capacity() const { return capacity_; }
@@ -81,6 +85,7 @@ class Tlb {
 
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;
+  static constexpr std::uint8_t kNotCached = 0xff;
 
   struct Slot {
     UnitIdx unit = kInvalidUnit;
@@ -88,8 +93,8 @@ class Tlb {
     std::uint32_t next = kNil;
   };
 
-  std::uint32_t slot_of(UnitIdx unit) const {
-    return unit < slot_of_.size() ? slot_of_[unit] : kNil;
+  std::uint8_t slot_of(UnitIdx unit) const {
+    return unit < slot_of_.size() ? slot_of_[unit] : kNotCached;
   }
 
   void unlink(std::uint32_t s);
@@ -100,7 +105,7 @@ class Tlb {
   std::vector<std::uint32_t> free_;
   std::uint32_t mru_ = kNil;
   std::uint32_t lru_ = kNil;
-  std::vector<std::uint32_t> slot_of_;  ///< [unit] -> slot index or kNil
+  std::vector<std::uint8_t> slot_of_;  ///< [unit] -> slot index or kNotCached
   std::size_t occupancy_ = 0;
 };
 

@@ -50,16 +50,24 @@ BtWorkload::BtWorkload(const BtParams& params) : params_(params) {
   // BT's flat-tailed distribution in Fig. 6c.
   const auto solve_phase = [&](std::initializer_list<Region> regions,
                                std::uint64_t phase_seed) {
-    // Nominal bounds (for halo placement) are jittered per call.
+    // Nominal bounds (for halo placement) are jittered per call; exchange
+    // phases partition each region for all cores at once.
+    detail::ExchangeConfig cfg;
+    cfg.exchange_fraction = params_.exchange_fraction;
+    cfg.phase_seed = phase_seed * 0x9e3779b97f4a7c15ULL + base.seed;
     std::vector<std::vector<std::uint64_t>> nominal;
-    for (const Region& r : regions)
+    std::vector<std::vector<detail::Runs>> exchanged;
+    for (const Region& r : regions) {
       nominal.push_back(
           detail::jittered_bounds(r.pages, n, params_.boundary_jitter, rng));
+      if (phase_seed != 0)
+        exchanged.push_back(detail::exchange_partition(r.pages, n, cfg));
+    }
 
     for (CoreId c = 0; c < n; ++c) {
       struct Cursor {
         Region region;
-        std::vector<std::pair<Vpn, std::uint64_t>> runs;
+        detail::Runs runs;
         std::size_t run = 0;
         std::uint64_t off = 0;
         std::uint64_t halo_base = 0;  ///< first page of the right halo
@@ -70,19 +78,16 @@ BtWorkload::BtWorkload(const BtParams& params) : params_(params) {
       for (const Region& r : regions) {
         Cursor cur;
         cur.region = r;
-        const auto& bounds = nominal[ri++];
+        const auto& bounds = nominal[ri];
         const std::uint64_t block = std::max<std::uint64_t>(r.pages / n, 1);
         cur.halo = static_cast<std::uint64_t>(
             params_.halo_fraction * static_cast<double>(block));
         cur.halo_base = bounds[c + 1];
-        if (phase_seed == 0) {
+        if (phase_seed == 0)
           cur.runs.emplace_back(bounds[c], bounds[c + 1] - bounds[c]);
-        } else {
-          detail::ExchangeConfig cfg;
-          cfg.exchange_fraction = params_.exchange_fraction;
-          cfg.phase_seed = phase_seed * 0x9e3779b97f4a7c15ULL + base.seed;
-          cur.runs = detail::exchange_runs(r.pages, n, c, cfg);
-        }
+        else
+          cur.runs = std::move(exchanged[ri][c]);
+        ++ri;
         // Halo reads ahead of the sweep: boundary strips of the
         // neighbouring nominal blocks.
         if (cur.halo > 0) {

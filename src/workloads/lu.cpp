@@ -56,6 +56,7 @@ LuWorkload::LuWorkload(const LuParams& params) : params_(params) {
       cfg.exchange_fraction = params_.exchange_fraction;
       cfg.max_distance = 2;
       cfg.phase_seed = cross * 0x2545f4914f6cdd1dULL + base.seed;
+      const auto runs = detail::exchange_partition(plane_pages, n, cfg);
       for (CoreId c = 0; c < n; ++c) {
         // Halo strips of the nominal block edges, hot (read twice).
         if (halo > 0 && bounds[c] > 0) {
@@ -66,8 +67,7 @@ LuWorkload::LuWorkload(const LuParams& params) : params_(params) {
           const std::uint64_t h = std::min(halo, plane_pages - bounds[c + 1]);
           sb.touch(c, plane_base + bounds[c + 1], h, false, 2);
         }
-        for (const auto& [first, len] :
-             detail::exchange_runs(plane_pages, n, c, cfg))
+        for (const auto& [first, len] : runs[c])
           sb.touch(c, plane_base + first, len, write, 1);
       }
     }

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/assert.h"
@@ -114,22 +115,25 @@ inline CoreId exchange_owner(std::uint64_t seg, std::uint64_t total_segments,
   return static_cast<CoreId>((nominal + d) % cores);
 }
 
-/// Collect core `core`'s segments of a region under an exchange partition,
-/// as (first_page, num_pages) runs in sweep order.
-inline std::vector<std::pair<Vpn, std::uint64_t>> exchange_runs(
-    std::uint64_t region_pages, CoreId cores, CoreId core,
-    const ExchangeConfig& cfg) {
-  std::vector<std::pair<Vpn, std::uint64_t>> runs;
+/// (first_page, num_pages) runs of one core's pages, in sweep order.
+using Runs = std::vector<std::pair<Vpn, std::uint64_t>>;
+
+/// Every core's segments of a region under an exchange partition: element c
+/// holds core c's runs, adjacent segments merged. One pass over the
+/// segments, so the cost scales with the region, not with cores x region.
+inline std::vector<Runs> exchange_partition(std::uint64_t region_pages, CoreId cores,
+                                            const ExchangeConfig& cfg) {
+  std::vector<Runs> runs(cores);
   const std::uint64_t seg_pages = std::max<std::uint64_t>(cfg.segment_pages, 1);
   const std::uint64_t total_segments = (region_pages + seg_pages - 1) / seg_pages;
   for (std::uint64_t seg = 0; seg < total_segments; ++seg) {
-    if (exchange_owner(seg, total_segments, cores, cfg) != core) continue;
+    Runs& own = runs[exchange_owner(seg, total_segments, cores, cfg)];
     const Vpn first = seg * seg_pages;
     const std::uint64_t len = std::min(seg_pages, region_pages - first);
-    if (!runs.empty() && runs.back().first + runs.back().second == first)
-      runs.back().second += len;  // merge adjacent segments
+    if (!own.empty() && own.back().first + own.back().second == first)
+      own.back().second += len;  // merge adjacent segments
     else
-      runs.emplace_back(first, len);
+      own.emplace_back(first, len);
   }
   return runs;
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 namespace cmcp {
@@ -163,6 +164,36 @@ TEST(CoreMask, ClearOnEmptyMaskIsHarmless) {
   m.clear(42);
   EXPECT_TRUE(m.none());
   EXPECT_EQ(m.count(), 0u);
+}
+
+// count() against a bit-by-bit count of the same words: empty, full, every
+// single bit, and random words, one word alone and across all words.
+TEST(CoreMask, CountMatchesPerBitCount) {
+  const auto per_bit = [](std::uint64_t w) {
+    unsigned n = 0;
+    for (unsigned b = 0; b < 64; ++b) n += static_cast<unsigned>((w >> b) & 1);
+    return n;
+  };
+  std::vector<std::uint64_t> words = {0, ~std::uint64_t{0}};
+  for (unsigned b = 0; b < 64; ++b) words.push_back(std::uint64_t{1} << b);
+  std::uint64_t state = 0x9e3779b97f4a7c15ULL;
+  for (int i = 0; i < 1000; ++i) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    words.push_back(state ^ (state >> 29));
+  }
+  for (const std::uint64_t w : words) {
+    CoreMask m;
+    m.set_word(0, w);
+    EXPECT_EQ(m.count(1), per_bit(w)) << std::hex << w;
+    EXPECT_EQ(m.count(), per_bit(w)) << std::hex << w;
+  }
+  CoreMask all;
+  unsigned expected = 0;
+  for (std::size_t i = 0; i < CoreMask::kWords; ++i) {
+    all.set_word(i, words[words.size() - 1 - i]);
+    expected += per_bit(all.word(i));
+  }
+  EXPECT_EQ(all.count(), expected);
 }
 
 TEST(CoreMaskDeath, OutOfRangeAborts) {

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <type_traits>
+#include <vector>
 
 namespace cmcp::sim {
 namespace {
@@ -87,33 +89,90 @@ TEST(Tlb, CapacityOneDegenerate) {
   EXPECT_TRUE(tlb.lookup(2));
 }
 
-// Property: under any operation sequence, occupancy never exceeds capacity
-// and lookups reflect the most recent insert/invalidate for each unit.
-TEST(TlbProperty, StressAgainstReferenceModel) {
-  const std::uint32_t kCapacity = 8;
-  Tlb tlb(kCapacity);
+// Reference model: units in MRU -> LRU order, at most `capacity` of them.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(std::size_t capacity) : capacity_(capacity) {}
+
+  bool lookup(UnitIdx unit) {
+    const auto it = std::find(order_.begin(), order_.end(), unit);
+    if (it == order_.end()) return false;
+    order_.erase(it);
+    order_.insert(order_.begin(), unit);
+    return true;
+  }
+  void insert(UnitIdx unit) {
+    if (lookup(unit)) return;
+    if (order_.size() == capacity_) order_.pop_back();
+    order_.insert(order_.begin(), unit);
+  }
+  bool invalidate(UnitIdx unit) {
+    const auto it = std::find(order_.begin(), order_.end(), unit);
+    if (it == order_.end()) return false;
+    order_.erase(it);
+    return true;
+  }
+  const std::vector<UnitIdx>& order() const { return order_; }
+
+ private:
+  std::size_t capacity_;
+  std::vector<UnitIdx> order_;
+};
+
+// Random insert/lookup/invalidate over `units` units (more than the capacity,
+// so the TLB both fills and evicts): every result, the occupancy and the full
+// MRU -> LRU order must match the reference model after each operation.
+// Returns the highest occupancy reached.
+std::size_t stress_against_reference(std::uint32_t capacity, std::uint64_t units,
+                                     int ops) {
+  Tlb tlb(capacity);
+  ReferenceLru model(capacity);
   std::uint64_t state = 12345;
   const auto next = [&state] {
     state = state * 6364136223846793005ULL + 1442695040888963407ULL;
     return state >> 33;
   };
-  for (int i = 0; i < 20000; ++i) {
-    const UnitIdx unit = next() % 32;
+  std::size_t peak = 0;
+  for (int i = 0; i < ops; ++i) {
+    const UnitIdx unit = static_cast<UnitIdx>(next() % units);
     switch (next() % 3) {
       case 0:
         tlb.insert(unit);
-        EXPECT_TRUE(tlb.lookup(unit));
+        model.insert(unit);
         break;
       case 1:
-        tlb.lookup(unit);
+        EXPECT_EQ(tlb.lookup(unit), model.lookup(unit)) << "op " << i;
         break;
       case 2:
-        tlb.invalidate(unit);
-        EXPECT_FALSE(tlb.lookup(unit));
+        EXPECT_EQ(tlb.invalidate(unit), model.invalidate(unit)) << "op " << i;
         break;
     }
-    ASSERT_LE(tlb.occupancy(), kCapacity);
+    EXPECT_EQ(tlb.occupancy(), model.order().size()) << "op " << i;
+    std::vector<UnitIdx> order;
+    tlb.for_each_entry([&order](UnitIdx u) { order.push_back(u); });
+    if (order != model.order()) {
+      ADD_FAILURE() << "MRU order diverged at op " << i;
+      break;
+    }
+    peak = std::max(peak, tlb.occupancy());
   }
+  return peak;
+}
+
+TEST(TlbProperty, StressAgainstReferenceModel) {
+  EXPECT_EQ(stress_against_reference(8, 32, 20000), 8u);
+}
+
+// The largest capacity a one-byte slot index allows: slots 0..253 all get
+// used, and none of them may collide with the 0xff "not cached" mark.
+TEST(TlbProperty, StressAgainstReferenceModelAtByteIndexLimit) {
+  EXPECT_EQ(stress_against_reference(254, 1024, 60000), 254u);
+}
+
+TEST(TlbDeath, CapacityBeyondByteIndexIsRefused) {
+  EXPECT_DEATH(Tlb(255), "TLB capacity must be below 255");
+  EXPECT_DEATH(Tlb(256), "TLB capacity must be below 255");
+  EXPECT_DEATH(Tlb(100000), "TLB capacity must be below 255");
 }
 
 // gtest names each case after the bytes of its parameter, so the padding

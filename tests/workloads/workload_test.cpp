@@ -1,7 +1,9 @@
 // Structural tests of the workload generators.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "workloads/partition_util.h"
 #include "workloads/synthetic.h"
@@ -45,30 +47,52 @@ TEST(JitteredBounds, ZeroJitterIsExactBlocks) {
   for (CoreId c = 0; c <= 8; ++c) EXPECT_EQ(bounds[c], c * 100u);
 }
 
-TEST(ExchangeRuns, PartitionCoversRegionExactlyOnce) {
+// Reference model for exchange_partition: the per-core scan the generators
+// used before, which hashes every segment of the region to keep one core's.
+detail::Runs per_core_scan(std::uint64_t region_pages, CoreId cores, CoreId core,
+                           const detail::ExchangeConfig& cfg) {
+  detail::Runs runs;
+  const std::uint64_t seg_pages = std::max<std::uint64_t>(cfg.segment_pages, 1);
+  const std::uint64_t total_segments = (region_pages + seg_pages - 1) / seg_pages;
+  for (std::uint64_t seg = 0; seg < total_segments; ++seg) {
+    if (detail::exchange_owner(seg, total_segments, cores, cfg) != core) continue;
+    const Vpn first = seg * seg_pages;
+    const std::uint64_t len = std::min(seg_pages, region_pages - first);
+    if (!runs.empty() && runs.back().first + runs.back().second == first)
+      runs.back().second += len;
+    else
+      runs.emplace_back(first, len);
+  }
+  return runs;
+}
+
+TEST(ExchangePartition, PartitionCoversRegionExactlyOnce) {
   detail::ExchangeConfig cfg;
   cfg.phase_seed = 99;
   const std::uint64_t region = 1003;
   const CoreId cores = 7;
+  const auto runs = detail::exchange_partition(region, cores, cfg);
+  ASSERT_EQ(runs.size(), cores);
   std::vector<unsigned> owners(region, 0);
   for (CoreId c = 0; c < cores; ++c) {
-    for (const auto& [first, len] : detail::exchange_runs(region, cores, c, cfg))
+    for (const auto& [first, len] : runs[c])
       for (std::uint64_t p = first; p < first + len; ++p) ++owners[p];
   }
   for (std::uint64_t p = 0; p < region; ++p)
     EXPECT_EQ(owners[p], 1u) << "page " << p;
 }
 
-TEST(ExchangeRuns, SomeSegmentsAreDisplaced) {
+TEST(ExchangePartition, SomeSegmentsAreDisplaced) {
   detail::ExchangeConfig cfg;
   cfg.phase_seed = 7;
   cfg.exchange_fraction = 0.3;
   std::uint64_t displaced = 0, total = 0;
   const std::uint64_t region = 6400;
   const CoreId cores = 8;
+  const auto runs = detail::exchange_partition(region, cores, cfg);
   for (CoreId c = 0; c < cores; ++c) {
     const auto nominal = block_partition(region, cores, c);
-    for (const auto& [first, len] : detail::exchange_runs(region, cores, c, cfg)) {
+    for (const auto& [first, len] : runs[c]) {
       total += len;
       if (first + len <= nominal.begin || first >= nominal.end) displaced += len;
     }
@@ -78,14 +102,43 @@ TEST(ExchangeRuns, SomeSegmentsAreDisplaced) {
   EXPECT_LT(displaced, region / 2);
 }
 
-TEST(ExchangeRuns, DeterministicPerSeed) {
+TEST(ExchangePartition, DeterministicPerSeed) {
   detail::ExchangeConfig cfg;
   cfg.phase_seed = 3;
-  const auto a = detail::exchange_runs(1000, 8, 2, cfg);
-  const auto b = detail::exchange_runs(1000, 8, 2, cfg);
+  const auto a = detail::exchange_partition(1000, 8, cfg);
+  const auto b = detail::exchange_partition(1000, 8, cfg);
   EXPECT_EQ(a, b);
   cfg.phase_seed = 4;
-  EXPECT_NE(detail::exchange_runs(1000, 8, 2, cfg), a);
+  EXPECT_NE(detail::exchange_partition(1000, 8, cfg), a);
+}
+
+// One pass hands every core exactly the runs the per-core scan finds, merges
+// included, across core counts, ragged last segments and regions with fewer
+// segments than cores.
+TEST(ExchangePartition, MatchesPerCoreScan) {
+  for (const CoreId cores : {1u, 2u, 7u, 56u, 1024u}) {
+    for (const std::uint64_t region : {1ull, 15ull, 17ull, 1003ull, 6400ull, 20001ull}) {
+      for (const std::uint64_t seg_pages : {8ull, 16ull}) {
+        detail::ExchangeConfig cfg;
+        cfg.segment_pages = seg_pages;
+        cfg.max_distance = seg_pages == 8 ? 2 : 3;
+        cfg.phase_seed = region * 31 + cores;
+        const auto runs = detail::exchange_partition(region, cores, cfg);
+        ASSERT_EQ(runs.size(), cores);
+        CoreId idle = 0;
+        for (CoreId c = 0; c < cores; ++c) {
+          ASSERT_EQ(runs[c], per_core_scan(region, cores, c, cfg))
+              << "cores " << cores << " region " << region << " segment "
+              << seg_pages << " core " << c;
+          if (runs[c].empty()) ++idle;
+        }
+        const std::uint64_t segments = (region + seg_pages - 1) / seg_pages;
+        if (segments < cores) {
+          EXPECT_GE(idle, cores - segments);
+        }
+      }
+    }
+  }
 }
 
 class PaperWorkloadTest : public ::testing::TestWithParam<PaperWorkload> {};
